@@ -16,7 +16,13 @@
 //!   materializing the selected value in a register;
 //! - multiply-then-accumulate pairs fuse into `MulAcc*` ops that keep the
 //!   two roundings (no FMA), so results stay bitwise identical to the
-//!   interpreter.
+//!   interpreter;
+//! - a body whose every store writes a *tap chain* — loads combined by
+//!   adds and constant-coefficient mul-adds, optionally scaled — becomes one
+//!   [`Op::TapSum`] per store, with its taps in the kernel's side table
+//!   ([`KernelCode::sums`]). That is the shape every offset-array stencil
+//!   statement takes (Problem 9, Jacobi, the `U = T` copy), and the VM runs
+//!   it over whole rows with loops specialized on the tap count.
 //!
 //! Every rewrite preserves the interpreter's evaluation order and rounding
 //! exactly; the differential proptests in the workspace root enforce this.
@@ -70,6 +76,38 @@ pub enum Op {
     /// `arr[base + delta] = r[c] != 0 ? r[t] : r[e]` — the predicated store
     /// a WHERE-masked assignment compiles to.
     SelStore { arr: Slot, delta: i32, c: Reg, t: Reg, e: Reg },
+    /// `sums[id]` of the kernel's side table: a fused weighted tap sum,
+    /// computed from memory and stored to memory. Reads and writes no
+    /// register.
+    TapSum { id: u16 },
+}
+
+/// One term of a [`TapSum`]: `coef · arr[base + delta]`, or just the load
+/// when `coef` is `None`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Tap {
+    /// Array slot the tap reads.
+    pub arr: Slot,
+    /// Flat-index delta from the point's base index.
+    pub delta: i32,
+    /// Constant coefficient, multiplied (separately rounded) before the add.
+    pub coef: Option<f64>,
+}
+
+/// A fused tap sum: `arr[base + delta] = [scale ·] ((t₀ + t₁) + …) + tₙ₋₁`.
+/// Evaluation is strictly left to right, with every multiply and add
+/// rounded on its own (never FMA) — the association of the source chain,
+/// so results stay bitwise identical to the interpreter.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TapSum {
+    /// Array slot the sum is stored to.
+    pub arr: Slot,
+    /// Flat-index delta of the store.
+    pub delta: i32,
+    /// Terms in evaluation order (the first one initializes the sum).
+    pub taps: Vec<Tap>,
+    /// Constant the finished sum is multiplied by.
+    pub scale: Option<f64>,
 }
 
 /// A compiled body: the op sequence plus everything the VM hoists out of
@@ -90,6 +128,13 @@ pub struct KernelCode {
     /// Flops per point of the source body (`Bin` + `Neg`, the interpreter's
     /// counting rule).
     pub flops: u64,
+    /// Side table of the body's [`Op::TapSum`] ops, in op order.
+    pub sums: Vec<TapSum>,
+    /// Fused rows: when positive, every op is a [`Op::TapSum`] and a row runs
+    /// op-at-a-time over chunks of up to `span` points — the largest chunk in
+    /// which no store can meet another point's memory operand. 0 = the body
+    /// runs through the register executors.
+    pub span: i64,
 }
 
 /// Shared state while compiling the bodies of one nest: the dense array
@@ -318,22 +363,115 @@ pub fn compile_body(
         }
     }
 
+    let mut sums = Vec::new();
     if !strict {
-        ops = fuse(ops);
+        match fuse_taps(&ops) {
+            Some((fused, table)) => (ops, sums) = (fused, table),
+            None => ops = fuse(ops),
+        }
     }
 
     let (mut min_delta, mut max_delta) = (0i64, 0i64);
+    let mut cover = |d: i32| {
+        min_delta = min_delta.min(d as i64);
+        max_delta = max_delta.max(d as i64);
+    };
     for op in &ops {
-        if let Op::Load { delta, .. } | Op::Store { delta, .. } | Op::SelStore { delta, .. } = op {
-            min_delta = min_delta.min(*delta as i64);
-            max_delta = max_delta.max(*delta as i64);
+        match op {
+            Op::Load { delta, .. } | Op::Store { delta, .. } | Op::SelStore { delta, .. } => {
+                cover(*delta)
+            }
+            Op::TapSum { id } => {
+                let ts = &sums[*id as usize];
+                ts.taps.iter().for_each(|t| cover(t.delta));
+                cover(ts.delta);
+            }
+            _ => {}
         }
     }
     let loads = body.iter().filter(|i| matches!(i, Instr::Load { .. })).count() as u64;
     let stores = body.iter().filter(|i| matches!(i, Instr::Store { .. })).count() as u64;
     let flops =
         body.iter().filter(|i| matches!(i, Instr::Bin { .. } | Instr::Neg { .. })).count() as u64;
-    Some(KernelCode { ops, min_delta, max_delta, loads, stores, flops })
+    Some(KernelCode { ops, min_delta, max_delta, loads, stores, flops, sums, span: 0 })
+}
+
+/// Rewrite a body into fused [`Op::TapSum`] ops, one per store, when every
+/// store writes a tap chain: loads combined by `+` (either operand order:
+/// IEEE addition is commutative), constant multiples of single loads as
+/// weighted taps, and at most one constant scale applied to the finished
+/// sum. All-or-nothing: any other op, or a store of anything else, keeps the
+/// body as it is (`None`).
+///
+/// Fusing drops every register write and *reloads* loads that several
+/// statements share. Both are sound only because (1) the caller compiles in
+/// fast mode, so no register is live across points, and (2) no tap reads an
+/// array the body stores: distinct slots are distinct allocations, so every
+/// reload sees exactly the value the shared load saw, whatever the body
+/// stored in between. A body failing (2) is left unfused.
+fn fuse_taps(ops: &[Op]) -> Option<(Vec<Op>, Vec<TapSum>)> {
+    struct Chain {
+        taps: Vec<Tap>,
+        scale: Option<f64>,
+    }
+    // A chain that can be added as one more term: a single (possibly
+    // weighted) unscaled tap.
+    fn term(c: &Chain) -> Option<Tap> {
+        (c.scale.is_none() && c.taps.len() == 1).then(|| c.taps[0])
+    }
+    fn extend(c: &Chain, t: Tap) -> Option<Chain> {
+        c.scale.is_none().then(|| Chain { taps: [&c.taps[..], &[t]].concat(), scale: None })
+    }
+    let mut val: HashMap<Reg, Chain> = HashMap::new();
+    let mut sums = Vec::new();
+    for op in ops {
+        let (dst, chain) = match *op {
+            Op::Load { dst, arr, delta } => {
+                (dst, Chain { taps: vec![Tap { arr, delta, coef: None }], scale: None })
+            }
+            Op::Copy { dst, src } => {
+                let c = val.get(&src)?;
+                (dst, Chain { taps: c.taps.clone(), scale: c.scale })
+            }
+            Op::Bin { op: BinOp::Add, dst, a, b } => {
+                let (ca, cb) = (val.get(&a)?, val.get(&b)?);
+                let c = match (term(cb), term(ca)) {
+                    (Some(t), _) if ca.scale.is_none() => extend(ca, t),
+                    (_, Some(t)) => extend(cb, t),
+                    _ => None,
+                };
+                (dst, c?)
+            }
+            Op::BinImmL { op: BinOp::Mul, dst, v, b: x }
+            | Op::BinImmR { op: BinOp::Mul, dst, a: x, v } => {
+                let c = val.get(&x)?;
+                if c.scale.is_some() {
+                    return None;
+                }
+                match term(c) {
+                    Some(t) if t.coef.is_none() => {
+                        (dst, Chain { taps: vec![Tap { coef: Some(v), ..t }], scale: None })
+                    }
+                    _ => (dst, Chain { taps: c.taps.clone(), scale: Some(v) }),
+                }
+            }
+            Op::Store { arr, delta, src } => {
+                let c = val.get(&src)?;
+                sums.push(TapSum { arr, delta, taps: c.taps.clone(), scale: c.scale });
+                continue;
+            }
+            _ => return None,
+        };
+        val.insert(dst, chain);
+    }
+    let stored = |a: Slot| sums.iter().any(|s| s.arr == a);
+    if sums.is_empty() || sums.iter().flat_map(|s| &s.taps).any(|t| stored(t.arr)) {
+        return None;
+    }
+    let fused = (0..sums.len())
+        .map(|id| u16::try_from(id).ok().map(|id| Op::TapSum { id }))
+        .collect::<Option<Vec<_>>>()?;
+    Some((fused, sums))
 }
 
 /// Is `r` read by any op in `ops`?
@@ -348,6 +486,7 @@ fn reads(ops: &[Op], r: Reg) -> bool {
         Op::MulAccImmR { acc, a, .. } => acc == r || a == r,
         Op::Neg { src, .. } | Op::Copy { src, .. } => src == r,
         Op::Select { c, t, e, .. } | Op::SelStore { c, t, e, .. } => c == r || t == r || e == r,
+        Op::TapSum { .. } => false,
     })
 }
 

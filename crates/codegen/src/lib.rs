@@ -11,12 +11,17 @@
 //!    flattened to index deltas, coefficients constant-folded into
 //!    immediates, single-definition constants hoisted to per-execution
 //!    preloads, WHERE masks fused into predicated stores, and
-//!    multiply-accumulate chains fused (two roundings — never FMA).
+//!    multiply-accumulate chains fused (two roundings — never FMA). A body
+//!    whose every statement is a weighted sum of loads — every nest the
+//!    offset-array pipeline makes of Problem 9 and Jacobi — becomes one
+//!    fused tap-sum op per statement ([`Op::TapSum`]).
 //! 2. [`exec_compiled`] runs the bytecode over `Subgrid` storage row by
 //!    row: one hoisted bounds check per row proves every access of the row
 //!    in range, and the interior then executes over the flat slice with
 //!    unchecked indexing. The jammed body covers interior (multiple-of-
 //!    factor) iterations; remainder/boundary iterations run the unit body.
+//!    Fused tap-sum bodies sweep each row memory-to-memory in loops
+//!    monomorphized on the tap count.
 //!
 //! Results are bitwise identical to the interpreter, and the `PeStats`
 //! counters match exactly: the interpreter stays the oracle, enforced by
@@ -39,7 +44,7 @@ mod bytecode;
 pub mod verify;
 mod vm;
 
-pub use bytecode::{reads_before_def, KernelCode, Op, Reg, Slot};
+pub use bytecode::{reads_before_def, KernelCode, Op, Reg, Slot, Tap, TapSum};
 pub use verify::{verify_nest, Fault, BV001, BV002, BV003, BV004};
 pub use vm::{compile_nest, exec_compiled, exec_compiled_over, exec_compiled_range, CompiledNest};
 
@@ -123,9 +128,10 @@ mod tests {
         };
         let mut m = machine();
         let cn = compile_nest(&nest, &m.pes[0], &[2.5]).unwrap();
-        // The coefficient folds into an immediate multiply: per-point code
-        // is load, mul-imm, store.
-        assert_eq!(cn.ops().0.len(), 3);
+        // The coefficient folds into a weighted tap: per-point code is one
+        // fused tap sum, `T = 2.5 * U`.
+        assert_eq!(cn.ops().0, &[Op::TapSum { id: 0 }]);
+        assert_eq!(cn.jammed.sums[0].taps[0].coef, Some(2.5));
         run_all(&mut m, &nest, &[2.5]);
         assert_eq!(m.get(T, &[3, 4]), 2.5 * 304.0);
         assert_eq!(m.stats().total().flops, 64, "flops counted from the source body");

@@ -14,24 +14,33 @@
 //!   no op overwrites a preloaded register (the chunked executor broadcasts
 //!   preloads once and assumes they survive), and in fast (non-strict) mode
 //!   every register read is preceded by a definition — the property that
-//!   makes dropping dead writes and reordering lanes sound.
+//!   makes dropping dead writes and reordering lanes sound. For fused
+//!   tap sums: every tap and store slot is inside the array table, every
+//!   sum has a tap, and the side table is referenced exactly once per
+//!   entry, in op order (a dropped, duplicated or reordered statement
+//!   breaks that).
 //! - **BV002 — strict-mode discipline.** A kernel whose body observes
 //!   loop-carried register state must take the interpreter-faithful
-//!   translation: no preloads, no fused ops (`MulAcc*`/`SelStore`), and no
-//!   chunked execution. Any of those appearing in a strict kernel would
-//!   change observable results.
+//!   translation: no preloads, no fused ops (`MulAcc*`/`SelStore`/
+//!   `TapSum`), and no chunked or fused-row execution. Any of those
+//!   appearing in a strict kernel would change observable results.
 //! - **BV003 — bounds. (a)** Every memory op's flat delta lies inside the
 //!   kernel's declared `[min_delta, max_delta]` envelope — the soundness
 //!   precondition of the hoisted per-row proof (`first = base + min_delta`,
-//!   `last = last_base + max_delta`). **(b)** Interval analysis over the
-//!   kernel's own base/step/count geometry: the extreme flat indices any
+//!   `last = last_base + max_delta`) — every tap of a fused tap sum
+//!   included. **(b)** Interval analysis over the kernel's own
+//!   base/step/count geometry: the extreme flat indices any
 //!   row can touch stay inside `[0, len)` of the PE's subgrid (owned cells
 //!   plus ghost layer).
 //! - **BV004 — chunk safety.** For bodies flagged for the 32-lane chunked
 //!   executor, re-derive store/load aliasing disjointness from scratch: no
 //!   store in one lane may touch another lane's memory operand (a flat-
 //!   delta difference of `k * step`, `0 < k <` [`LANES`]). This repeats the
-//!   compiler's `vector_safe` conclusion without sharing its code.
+//!   compiler's lane-reach conclusion without sharing its code. Bodies with
+//!   tap sums: no tap reads an array the body stores (what makes reloading
+//!   shared loads sound), and a fused body — all tap sums, rows run
+//!   op-at-a-time over chunks of `span` points — has no store meeting
+//!   another memory operand fewer than `span` lanes away.
 //!
 //! The verifier is *sound but intentionally not minimal*: it flags anything
 //! it cannot prove safe. Compiler-emitted kernels always verify clean (a
@@ -43,7 +52,7 @@
 //! exists) but numerically stale — that is the halo-safety lints' job
 //! (HS001/HS002 in `hpf-analysis`), not the verifier's.
 
-use crate::bytecode::{KernelCode, Op, Reg, Slot};
+use crate::bytecode::{KernelCode, Op, Reg, Slot, TapSum};
 use crate::vm::{CompiledNest, LANES};
 use hpf_ir::diag::Diagnostic;
 
@@ -75,10 +84,12 @@ pub fn verify_nest(cn: &CompiledNest) -> Vec<Diagnostic> {
     let geom = Geometry::of(cn);
     for body in geom.bodies(cn) {
         check_registers(cn, &body, &mut out);
+        check_tap_table(&body, &mut out);
         check_bounds(cn, &geom, &body, &mut out);
         if body.vec {
             check_chunk_safety(&body, &mut out);
         }
+        check_fused_rows(&body, &mut out);
     }
     check_strict_discipline(cn, &mut out);
     out
@@ -213,13 +224,14 @@ fn op_reads(op: &Op) -> Vec<Reg> {
         Op::Neg { src, .. } | Op::Copy { src, .. } => vec![src],
         Op::Select { c, t, e, .. } => vec![c, t, e],
         Op::SelStore { c, t, e, .. } => vec![c, t, e],
+        Op::TapSum { .. } => vec![],
     }
 }
 
 /// The register an op defines, if any.
 fn op_dst(op: &Op) -> Option<Reg> {
     match *op {
-        Op::Store { .. } | Op::SelStore { .. } => None,
+        Op::Store { .. } | Op::SelStore { .. } | Op::TapSum { .. } => None,
         Op::Const { dst, .. }
         | Op::Load { dst, .. }
         | Op::Bin { dst, .. }
@@ -237,12 +249,27 @@ fn op_dst(op: &Op) -> Option<Reg> {
     }
 }
 
-/// The array slot and flat delta of a memory op, if any.
-fn op_mem(op: &Op) -> Option<(Slot, i32, bool)> {
+/// The side-table entry a tap-sum op names, if it exists.
+fn tap_sum<'a>(code: &'a KernelCode, op: &Op) -> Option<&'a TapSum> {
     match *op {
-        Op::Load { arr, delta, .. } => Some((arr, delta, false)),
-        Op::Store { arr, delta, .. } | Op::SelStore { arr, delta, .. } => Some((arr, delta, true)),
+        Op::TapSum { id } => code.sums.get(id as usize),
         _ => None,
+    }
+}
+
+/// The memory operands of an op as `(slot, flat delta, is_store)`: one for
+/// a load or store, every tap then the store for a tap sum (none when its
+/// side-table entry is missing — BV001 reports that).
+fn op_mems(code: &KernelCode, op: &Op) -> Vec<(Slot, i32, bool)> {
+    match *op {
+        Op::Load { arr, delta, .. } => vec![(arr, delta, false)],
+        Op::Store { arr, delta, .. } | Op::SelStore { arr, delta, .. } => vec![(arr, delta, true)],
+        Op::TapSum { .. } => tap_sum(code, op).map_or(vec![], |ts| {
+            let mut v: Vec<_> = ts.taps.iter().map(|t| (t.arr, t.delta, false)).collect();
+            v.push((ts.arr, ts.delta, true));
+            v
+        }),
+        _ => vec![],
     }
 }
 
@@ -293,7 +320,7 @@ fn check_registers(cn: &CompiledNest, body: &BodyView, out: &mut Vec<Diagnostic>
                 ));
             }
         }
-        if let Some((slot, _, _)) = op_mem(op) {
+        for (slot, _, _) in op_mems(body.code, op) {
             if slot as usize >= cn.arrays.len() {
                 out.push(Diagnostic::error(
                     BV001,
@@ -332,6 +359,51 @@ fn check_registers(cn: &CompiledNest, body: &BodyView, out: &mut Vec<Diagnostic>
     }
 }
 
+/// BV001, tap-sum side table: each tap-sum op names an existing entry, the
+/// k-th tap-sum op names entry k (so every entry runs exactly once, in the
+/// order the statements were written — the order that decides which of
+/// two stores to one cell lands last), and every entry has a tap.
+fn check_tap_table(body: &BodyView, out: &mut Vec<Diagnostic>) {
+    let sums = &body.code.sums;
+    let mut seen = 0usize;
+    for (i, op) in body.code.ops.iter().enumerate() {
+        let Op::TapSum { id } = *op else { continue };
+        if id as usize >= sums.len() {
+            out.push(Diagnostic::error(
+                BV001,
+                format!(
+                    "{} op {i} names tap-sum entry {id} outside the side table (size {})",
+                    body.name,
+                    sums.len()
+                ),
+            ));
+        } else if id as usize != seen {
+            out.push(Diagnostic::error(
+                BV001,
+                format!(
+                    "{} op {i} names tap-sum entry {id} out of order (expected {seen}) — a \
+                     statement was dropped, duplicated or reordered",
+                    body.name
+                ),
+            ));
+        }
+        seen += 1;
+    }
+    if seen != sums.len() {
+        out.push(Diagnostic::error(
+            BV001,
+            format!(
+                "{} body runs {seen} tap-sum op(s) for {} side-table entries",
+                body.name,
+                sums.len()
+            ),
+        ));
+    }
+    if let Some(k) = sums.iter().position(|ts| ts.taps.is_empty()) {
+        out.push(Diagnostic::error(BV001, format!("{} tap-sum entry {k} has no taps", body.name)));
+    }
+}
+
 /// BV002: a strict (loop-carried) kernel must be the interpreter-faithful
 /// translation — no preloads, no fused ops, no chunked execution.
 fn check_strict_discipline(cn: &CompiledNest, out: &mut Vec<Diagnostic>) {
@@ -356,6 +428,7 @@ fn check_strict_discipline(cn: &CompiledNest, out: &mut Vec<Diagnostic>) {
                     | Op::MulAccImmL { .. }
                     | Op::MulAccImmR { .. }
                     | Op::SelStore { .. }
+                    | Op::TapSum { .. }
             )
         }) {
             out.push(Diagnostic::error(
@@ -375,6 +448,15 @@ fn check_strict_discipline(cn: &CompiledNest, out: &mut Vec<Diagnostic>) {
                 .to_string(),
         ));
     }
+    let unit = cn.unit.as_ref().unwrap_or(&cn.jammed);
+    if cn.jammed.span != 0 || unit.span != 0 {
+        out.push(Diagnostic::error(
+            BV002,
+            "strict kernel flagged for fused-row execution — fused rows keep no \
+             register state"
+                .to_string(),
+        ));
+    }
 }
 
 /// BV003: (a) every memory delta inside the declared envelope; (b) interval
@@ -383,7 +465,7 @@ fn check_strict_discipline(cn: &CompiledNest, out: &mut Vec<Diagnostic>) {
 fn check_bounds(cn: &CompiledNest, geom: &Geometry, body: &BodyView, out: &mut Vec<Diagnostic>) {
     let (dmin, dmax) = (body.code.min_delta, body.code.max_delta);
     for (i, op) in body.code.ops.iter().enumerate() {
-        if let Some((_, delta, _)) = op_mem(op) {
+        for (_, delta, _) in op_mems(body.code, op) {
             let d = delta as i64;
             if d < dmin || d > dmax {
                 out.push(Diagnostic::error(
@@ -445,7 +527,7 @@ fn check_chunk_safety(body: &BodyView, out: &mut Vec<Diagnostic>) {
         .code
         .ops
         .iter()
-        .filter_map(op_mem)
+        .flat_map(|op| op_mems(body.code, op))
         .map(|(a, d, is_store)| (a, d as i64, is_store))
         .collect();
     for &(sa, sd, s_store) in &mems {
@@ -474,6 +556,81 @@ fn check_chunk_safety(body: &BodyView, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// BV004 for tap sums. (a) In any body holding tap sums, no tap reads an
+/// array the body stores: the compiler reloads loads that several
+/// statements shared, which only reproduces the source when no store in
+/// between can change the value. (b) A fused body (`span > 0`) holds only
+/// tap sums, and running each of them over `span` points before the next
+/// starts is unobservable: no store may meet another memory operand of the
+/// same array `k` lanes away for `0 < k < span`. Lane distances come from
+/// exact division here, independent of the compiler's remainder test.
+fn check_fused_rows(body: &BodyView, out: &mut Vec<Diagnostic>) {
+    let code = body.code;
+    let stored: Vec<Slot> = code
+        .ops
+        .iter()
+        .flat_map(|op| op_mems(code, op))
+        .filter(|&(_, _, is_store)| is_store)
+        .map(|(a, _, _)| a)
+        .collect();
+    for (i, op) in code.ops.iter().enumerate() {
+        let Some(ts) = tap_sum(code, op) else { continue };
+        if let Some(t) = ts.taps.iter().find(|t| stored.contains(&t.arr)) {
+            out.push(Diagnostic::error(
+                BV004,
+                format!(
+                    "{} op {i}: tap at delta {} reads array slot {}, which the body stores \
+                     — reloading it is not the source's load",
+                    body.name, t.delta, t.arr
+                ),
+            ));
+        }
+    }
+    if code.span <= 0 {
+        return;
+    }
+    if let Some(i) = code.ops.iter().position(|op| !matches!(op, Op::TapSum { .. })) {
+        out.push(Diagnostic::error(
+            BV004,
+            format!("{} body runs fused rows but op {i} is not a tap sum", body.name),
+        ));
+        return;
+    }
+    let step = body.step.unsigned_abs();
+    if step == 0 {
+        out.push(Diagnostic::error(
+            BV004,
+            format!("{} body runs fused rows with step 0 — every lane would alias", body.name),
+        ));
+        return;
+    }
+    let mems: Vec<(Slot, i64, bool)> = code
+        .ops
+        .iter()
+        .flat_map(|op| op_mems(code, op))
+        .map(|(a, d, is_store)| (a, d as i64, is_store))
+        .collect();
+    for &(sa, sd, _) in mems.iter().filter(|m| m.2) {
+        for &(ma, md, _) in &mems {
+            let dist = sd.abs_diff(md);
+            if sa != ma || dist == 0 {
+                continue;
+            }
+            let k = dist / step;
+            if k * step == dist && k < code.span.unsigned_abs() {
+                out.push(Diagnostic::error(
+                    BV004,
+                    format!(
+                        "{} body runs fused rows of {} points with step {}: store at delta \
+                         {sd} meets a memory op at delta {md} {k} lane(s) away",
+                        body.name, code.span, body.step
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 /// A deliberate kernel corruption for the mutation-kill suite: each variant
 /// violates one invariant the verifier proves, so `verify()` must reject
 /// the mutated kernel with a `BV*` diagnostic. [`CompiledNest::inject`]
@@ -491,12 +648,13 @@ pub enum Fault {
         /// Second op position.
         j: usize,
     },
-    /// Add `by` to the delta of the `i`-th *memory* op of the body without
-    /// updating the declared envelope (BV003).
+    /// Add `by` to the delta of the `i`-th *memory operand* of the body
+    /// without updating the declared envelope (BV003).
     PerturbDelta {
         /// Corrupt the unit body instead of the jammed body.
         unit: bool,
-        /// Index among the body's memory ops (loads, stores, sel-stores).
+        /// Index among the body's memory operands: loads, stores and
+        /// sel-stores, and for a tap sum each tap then its store.
         i: usize,
         /// Delta perturbation.
         by: i32,
@@ -516,18 +674,43 @@ pub enum Fault {
         unit: bool,
     },
     /// Retarget the first register operand of op `i` to `reg` (out-of-range
-    /// or undefined registers trip BV001).
+    /// or undefined registers trip BV001). A tap sum has no registers: it
+    /// takes one position per tap plus one for its store, and the fault
+    /// retargets that operand's array slot instead.
     RetargetReg {
         /// Corrupt the unit body instead of the jammed body.
         unit: bool,
-        /// Op position.
+        /// Position: ops in order, a tap sum spanning `taps + 1` of them.
         i: usize,
-        /// New register for the op's first source operand.
+        /// New register (or, on a tap sum, array slot).
         reg: Reg,
     },
     /// Claim chunk safety for both bodies regardless of the aliasing test
     /// (BV004, or BV002 for strict kernels).
     ForceVectorized,
+}
+
+/// Corruption sites of a body, in op order: `(op, None)` for an ordinary
+/// op, `(op, Some(k))` for operand `k` of a tap sum — its taps, then
+/// `k == taps.len()` for its store.
+fn sites(code: &KernelCode) -> Vec<(usize, Option<usize>)> {
+    let mut v = Vec::new();
+    for (p, op) in code.ops.iter().enumerate() {
+        match tap_sum(code, op) {
+            Some(ts) => v.extend((0..=ts.taps.len()).map(|k| (p, Some(k)))),
+            None => v.push((p, None)),
+        }
+    }
+    v
+}
+
+/// Operand `k` of a tap sum as `(slot, delta)`: tap `k`, or the store for
+/// `k == taps.len()`.
+fn sum_operand(ts: &mut TapSum, k: usize) -> (&mut Slot, &mut i32) {
+    match ts.taps.get_mut(k) {
+        Some(t) => (&mut t.arr, &mut t.delta),
+        None => (&mut ts.arr, &mut ts.delta),
+    }
 }
 
 impl CompiledNest {
@@ -582,19 +765,23 @@ impl CompiledNest {
                     return false;
                 }
                 let code = body_mut(self, unit);
-                let mem_positions: Vec<usize> = code
-                    .ops
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, op)| op_mem(op).is_some())
-                    .map(|(p, _)| p)
+                let sites: Vec<_> = sites(code)
+                    .into_iter()
+                    .filter(|&(p, k)| k.is_some() || !op_mems(code, &code.ops[p]).is_empty())
                     .collect();
-                let Some(&p) = mem_positions.get(i) else { return false };
-                match &mut code.ops[p] {
-                    Op::Load { delta, .. }
-                    | Op::Store { delta, .. }
-                    | Op::SelStore { delta, .. } => *delta = delta.wrapping_add(by),
-                    _ => unreachable!("op_mem selected a memory op"),
+                let Some(&(p, k)) = sites.get(i) else { return false };
+                match (&mut code.ops[p], k) {
+                    (Op::TapSum { id }, Some(k)) => {
+                        let (_, delta) = sum_operand(&mut code.sums[*id as usize], k);
+                        *delta = delta.wrapping_add(by);
+                    }
+                    (
+                        Op::Load { delta, .. }
+                        | Op::Store { delta, .. }
+                        | Op::SelStore { delta, .. },
+                        None,
+                    ) => *delta = delta.wrapping_add(by),
+                    _ => unreachable!("sites selected a memory operand"),
                 }
                 true
             }
@@ -622,20 +809,30 @@ impl CompiledNest {
                     return false;
                 }
                 let code = body_mut(self, unit);
-                let Some(op) = code.ops.get_mut(i) else { return false };
-                match op {
-                    Op::Store { src, .. } => *src = reg,
-                    Op::Bin { a, .. }
-                    | Op::BinImmR { a, .. }
-                    | Op::Cmp { a, .. }
-                    | Op::CmpImmR { a, .. } => *a = reg,
-                    Op::BinImmL { b, .. } | Op::CmpImmL { b, .. } => *b = reg,
-                    Op::MulAcc { acc, .. }
-                    | Op::MulAccImmL { acc, .. }
-                    | Op::MulAccImmR { acc, .. } => *acc = reg,
-                    Op::Neg { src, .. } | Op::Copy { src, .. } => *src = reg,
-                    Op::Select { c, .. } | Op::SelStore { c, .. } => *c = reg,
-                    Op::Const { .. } | Op::Load { .. } => return false,
+                let Some(&(p, k)) = sites(code).get(i) else { return false };
+                let op = &mut code.ops[p];
+                match (op, k) {
+                    (Op::TapSum { id }, Some(k)) => {
+                        *sum_operand(&mut code.sums[*id as usize], k).0 = reg
+                    }
+                    (Op::Store { src, .. }, _) => *src = reg,
+                    (
+                        Op::Bin { a, .. }
+                        | Op::BinImmR { a, .. }
+                        | Op::Cmp { a, .. }
+                        | Op::CmpImmR { a, .. },
+                        _,
+                    ) => *a = reg,
+                    (Op::BinImmL { b, .. } | Op::CmpImmL { b, .. }, _) => *b = reg,
+                    (
+                        Op::MulAcc { acc, .. }
+                        | Op::MulAccImmL { acc, .. }
+                        | Op::MulAccImmR { acc, .. },
+                        _,
+                    ) => *acc = reg,
+                    (Op::Neg { src, .. } | Op::Copy { src, .. }, _) => *src = reg,
+                    (Op::Select { c, .. } | Op::SelStore { c, .. }, _) => *c = reg,
+                    (Op::Const { .. } | Op::Load { .. } | Op::TapSum { .. }, _) => return false,
                 }
                 true
             }
@@ -654,17 +851,26 @@ impl CompiledNest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::Tap;
 
     /// A hand-built 1-D kernel over a 16-cell subgrid with halo 1: bounds
     /// `lo..=hi` in local coordinates, flat length 18.
     fn kernel_1d(ops: Vec<Op>, regs: usize, lo: i64, hi: i64) -> CompiledNest {
-        let (mut min_delta, mut max_delta) = (0i64, 0i64);
-        for op in &ops {
-            if let Some((_, d, _)) = op_mem(op) {
-                min_delta = min_delta.min(d as i64);
-                max_delta = max_delta.max(d as i64);
-            }
-        }
+        kernel_1d_with(ops, vec![], regs, lo, hi)
+    }
+
+    fn kernel_1d_with(
+        ops: Vec<Op>,
+        sums: Vec<TapSum>,
+        regs: usize,
+        lo: i64,
+        hi: i64,
+    ) -> CompiledNest {
+        let mut code = KernelCode { ops, sums, loads: 1, stores: 1, ..KernelCode::default() };
+        let deltas: Vec<i64> =
+            code.ops.iter().flat_map(|op| op_mems(&code, op)).map(|m| m.1 as i64).collect();
+        code.min_delta = deltas.iter().copied().fold(0, i64::min);
+        code.max_delta = deltas.iter().copied().fold(0, i64::max);
         CompiledNest {
             empty: false,
             lo: vec![lo],
@@ -673,7 +879,7 @@ mod tests {
             halo: 1,
             order: vec![0],
             factor: 1,
-            jammed: KernelCode { ops, min_delta, max_delta, loads: 1, stores: 1, flops: 0 },
+            jammed: code,
             unit: None,
             arrays: vec![0, 1],
             regs,
@@ -858,6 +1064,113 @@ mod tests {
         assert!(!cn.inject(Fault::RetargetReg { unit: false, i: 0, reg: 3 }), "Load has no src");
     }
 
+    /// `T[0] = U[-1] + U[0] + U[1]` over 2..=15, as the compiler fuses it.
+    fn tap_kernel() -> CompiledNest {
+        let taps = (-1..=1).map(|delta| Tap { arr: 0, delta, coef: None }).collect();
+        let sums = vec![TapSum { arr: 1, delta: 0, taps, scale: Some(0.5) }];
+        let mut cn = kernel_1d_with(vec![Op::TapSum { id: 0 }], sums, 0, 2, 15);
+        cn.jammed.span = i64::MAX;
+        cn
+    }
+
+    #[test]
+    fn fused_tap_kernel_verifies_clean() {
+        let cn = tap_kernel();
+        assert!(cn.verify().is_empty(), "{:?}", cn.verify());
+    }
+
+    #[test]
+    fn bv001_flags_tap_table_faults() {
+        // A tap slot outside the array table.
+        let mut cn = tap_kernel();
+        assert!(cn.inject(Fault::RetargetReg { unit: false, i: 1, reg: 7 }));
+        assert_eq!(codes(&cn.verify()), vec![BV001]);
+        // An op naming a missing side-table entry.
+        let mut cn = tap_kernel();
+        cn.jammed.ops = vec![Op::TapSum { id: 3 }];
+        assert_eq!(codes(&cn.verify()), vec![BV001]);
+        // The same statement run twice, the second entry never.
+        let mut cn = tap_kernel();
+        cn.jammed.sums.push(cn.jammed.sums[0].clone());
+        cn.jammed.ops = vec![Op::TapSum { id: 0 }, Op::TapSum { id: 0 }];
+        assert!(cn.verify().iter().any(|d| d.message.contains("out of order")));
+        // An empty tap list.
+        let mut cn = tap_kernel();
+        cn.jammed.sums[0].taps.clear();
+        assert!(cn.verify().iter().any(|d| d.code == BV001 && d.message.contains("no taps")));
+    }
+
+    #[test]
+    fn bv003_covers_every_tap() {
+        let mut cn = tap_kernel();
+        assert!(cn.inject(Fault::PerturbDelta { unit: false, i: 2, by: 4 }));
+        let d = cn.verify();
+        assert_eq!(codes(&d), vec![BV003], "{d:?}");
+        assert!(d[0].message.contains("envelope"));
+        // Four operands: three taps and the store.
+        assert!(cn.inject(Fault::PerturbDelta { unit: false, i: 3, by: 1 }));
+        assert!(!cn.inject(Fault::PerturbDelta { unit: false, i: 4, by: 1 }));
+    }
+
+    #[test]
+    fn bv004_flags_taps_reading_the_stored_array() {
+        let mut cn = tap_kernel();
+        // Tap 0 retargeted to slot 1, the array the sum stores.
+        assert!(cn.inject(Fault::RetargetReg { unit: false, i: 0, reg: 1 }));
+        let d = cn.verify();
+        assert!(codes(&d).contains(&BV004), "{d:?}");
+        assert!(d.iter().any(|x| x.message.contains("which the body stores")));
+    }
+
+    #[test]
+    fn bv004_flags_fused_rows_wider_than_the_lane_reach() {
+        // Two sums storing one array two cells apart: rows of more than
+        // two points would reorder their writes.
+        let sum = |delta| TapSum {
+            arr: 1,
+            delta,
+            taps: vec![Tap { arr: 0, delta: 0, coef: None }],
+            scale: None,
+        };
+        let ops = vec![Op::TapSum { id: 0 }, Op::TapSum { id: 1 }];
+        let mut cn = kernel_1d_with(ops, vec![sum(0), sum(2)], 0, 1, 14);
+        cn.jammed.span = 2;
+        assert!(cn.verify().is_empty(), "{:?}", cn.verify());
+        cn.jammed.span = 3;
+        let d = cn.verify();
+        assert!(!d.is_empty() && codes(&d).iter().all(|&c| c == BV004), "{d:?}");
+        assert!(d[0].message.contains("2 lane(s) away"));
+        // Fused rows hold nothing but tap sums.
+        let mut cn = tap_kernel();
+        cn.jammed.ops.insert(0, Op::Const { dst: 0, v: 1.0 });
+        cn.regs = 1;
+        assert!(cn.verify().iter().any(|d| d.code == BV004 && d.message.contains("not a tap")));
+    }
+
+    #[test]
+    fn bv002_flags_tap_sums_in_strict_kernels() {
+        let mut cn = tap_kernel();
+        cn.strict = true;
+        let d = cn.verify();
+        assert!(d.iter().any(|x| x.code == BV002 && x.message.contains("fused op")));
+        assert!(d.iter().any(|x| x.code == BV002 && x.message.contains("fused-row")));
+    }
+
+    #[test]
+    fn swapped_tap_sums_trip_bv001() {
+        let sum = |delta| TapSum {
+            arr: 1,
+            delta,
+            taps: vec![Tap { arr: 0, delta: 0, coef: None }],
+            scale: None,
+        };
+        let ops = vec![Op::TapSum { id: 0 }, Op::TapSum { id: 1 }];
+        let mut cn = kernel_1d_with(ops, vec![sum(0), sum(1)], 0, 1, 15);
+        assert!(cn.verify().is_empty(), "{:?}", cn.verify());
+        assert!(cn.inject(Fault::SwapOps { unit: false, i: 0, j: 1 }));
+        assert_eq!(codes(&cn.verify()), vec![BV001, BV001]);
+    }
+
     #[test]
     fn unrolled_geometry_covers_group_starts_and_remainder() {
         // factor 2 over lo=1..hi=16 with a jammed body reaching delta +1:
@@ -879,11 +1192,9 @@ mod tests {
                     other => other,
                 })
                 .collect(),
-            min_delta: 0,
-            max_delta: 0,
             loads: 1,
             stores: 1,
-            flops: 0,
+            ..KernelCode::default()
         });
         cn.regs = 3;
         assert!(cn.verify().is_empty(), "{:?}", cn.verify());

@@ -13,7 +13,7 @@
 //! (impossible for halo-lint-clean programs, see DESIGN.md §5c) take a
 //! checked fallback that panics exactly where the interpreter would.
 //!
-//! Rows the compiler proves chunk-safe ([`vector_safe`]: no store in one
+//! Rows the compiler proves chunk-safe (`lane_reach`: no store in one
 //! lane can alias another lane's memory op, and no register state carries
 //! between points) run through a *chunked* executor: each op executes over
 //! up to [`LANES`] consecutive points before the next op dispatches, which
@@ -21,12 +21,18 @@
 //! straight-line lane loop the optimizer vectorizes. Contiguous rows load
 //! and store via `memcpy`-style block moves.
 //!
+//! Bodies fused into tap sums ([`Op::TapSum`], see `bytecode`) skip the
+//! register file entirely: each tap sum sweeps the row memory-to-memory in a
+//! loop monomorphized on its tap count, one op at a time over chunks of up
+//! to the body's `span` points — the largest chunk in which no store can
+//! meet another point's memory operand, usually the whole row.
+//!
 //! Execution order, operation order, and rounding are identical to the tree
 //! interpreter (`hpf-exec`'s `exec_nest`): results are bitwise equal and the
 //! `PeStats` counters match, because they are derived from the *source*
 //! body with the interpreter's own counting rules.
 
-use crate::bytecode::{compile_body, reads_before_def, BodyCx, KernelCode, Op};
+use crate::bytecode::{compile_body, reads_before_def, BodyCx, KernelCode, Op, Slot, TapSum};
 use hpf_ir::expr::CmpOp;
 use hpf_ir::BinOp;
 use hpf_passes::loopir::{Instr, LoopNest};
@@ -155,8 +161,8 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
     let unit_base = if strict { 0 } else { jr };
 
     let mut cx = BodyCx::with_min_regs(if strict { jr.max(ur) } else { 0 });
-    let jammed = compile_body(&nest.body, &strides, scalars, 0, strict, &mut cx)?;
-    let unit = match &nest.unroll {
+    let mut jammed = compile_body(&nest.body, &strides, scalars, 0, strict, &mut cx)?;
+    let mut unit = match &nest.unroll {
         Some(u) => Some(compile_body(&u.unit_body, &strides, scalars, unit_base, strict, &mut cx)?),
         None => None,
     };
@@ -166,7 +172,9 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
     // only when a store in one lane can alias a load or store in a *different*
     // lane of the same chunk, or when register state carries between points
     // (strict mode). Both are decidable here because each body's row step is
-    // fixed at compile time; rows failing the test run point-at-a-time.
+    // fixed at compile time; rows failing the test run point-at-a-time. Fused
+    // (tap-sum) bodies carry no register state at all, so their chunk can
+    // grow to the full lane reach.
     let istrides: Vec<i64> = strides.iter().map(|&s| s as i64).collect();
     let inner_step = istrides[*nest.order.last()?];
     let (jam_step, unit_step) = if rank == 1 {
@@ -174,8 +182,11 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
     } else {
         (inner_step, inner_step)
     };
-    let jam_vec = !strict && vector_safe(&jammed.ops, jam_step);
-    let unit_vec = !strict && vector_safe(&unit.as_ref().unwrap_or(&jammed).ops, unit_step);
+    let jam_vec = !strict && set_span(&mut jammed, jam_step);
+    let unit_vec = match unit.as_mut() {
+        Some(u) => !strict && set_span(u, unit_step),
+        None => jam_vec,
+    };
 
     Some(CompiledNest {
         empty,
@@ -199,39 +210,57 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
     })
 }
 
-/// May `ops` execute op-at-a-time over a `LANES`-wide chunk of a row with
-/// step `step` and still produce the interpreter's point-at-a-time results?
-/// Only memory can carry state across lanes (fast-mode bodies define every
-/// register they read), so the test is purely about aliasing: a store and
-/// another memory op on the same array whose flat-delta difference is a
-/// multiple of the step smaller than the chunk width would make one lane
-/// touch another lane's location, and the chunk interleaving would become
-/// observable.
-fn vector_safe(ops: &[Op], step: i64) -> bool {
+/// The lane reach of `code` on rows advancing by `step`: the smallest lane
+/// distance `k > 0` at which a store meets another memory operand on the
+/// same array (their flat-delta difference is `k * step`), `Some(0)` for a
+/// zero step, `None` when no two lanes ever collide. Op-at-a-time execution
+/// over chunks of fewer than `k` points reproduces the interpreter's
+/// point-at-a-time results: only memory can carry state across lanes
+/// (fast-mode bodies define every register they read).
+fn lane_reach(code: &KernelCode, step: i64) -> Option<u64> {
     if step == 0 {
-        return false;
+        return Some(0);
     }
-    let mut stores: Vec<(u16, i64)> = Vec::new();
-    let mut mems: Vec<(u16, i64)> = Vec::new();
-    for op in ops {
+    let mut stores: Vec<(Slot, i64)> = Vec::new();
+    let mut mems: Vec<(Slot, i64)> = Vec::new();
+    for op in &code.ops {
         match *op {
             Op::Store { arr, delta, .. } | Op::SelStore { arr, delta, .. } => {
                 stores.push((arr, delta as i64));
                 mems.push((arr, delta as i64));
             }
             Op::Load { dst: _, arr, delta } => mems.push((arr, delta as i64)),
+            Op::TapSum { id } => {
+                let ts = &code.sums[id as usize];
+                stores.push((ts.arr, ts.delta as i64));
+                mems.push((ts.arr, ts.delta as i64));
+                mems.extend(ts.taps.iter().map(|t| (t.arr, t.delta as i64)));
+            }
             _ => {}
         }
     }
-    stores.iter().all(|&(sa, sd)| {
-        mems.iter().all(|&(ma, md)| {
+    let mut reach = None;
+    for &(sa, sd) in &stores {
+        for &(ma, md) in &mems {
             let diff = sd - md;
-            sa != ma
-                || diff == 0
-                || diff % step != 0
-                || (diff / step).unsigned_abs() >= LANES as u64
-        })
-    })
+            if sa == ma && diff != 0 && diff % step == 0 {
+                let k = (diff / step).unsigned_abs();
+                reach = Some(reach.map_or(k, |r: u64| r.min(k)));
+            }
+        }
+    }
+    reach
+}
+
+/// Decide how rows of `code` with step `step` execute: returns whether the
+/// `LANES`-wide chunked executor is safe, and for a fused body sets its
+/// `span` to the lane reach (whole rows when nothing ever collides).
+fn set_span(code: &mut KernelCode, step: i64) -> bool {
+    let reach = lane_reach(code, step);
+    if !code.sums.is_empty() {
+        code.span = reach.map_or(i64::MAX, |k| i64::try_from(k).unwrap_or(i64::MAX));
+    }
+    reach.is_none_or(|k| k >= LANES as u64)
 }
 
 impl CompiledNest {
@@ -249,6 +278,19 @@ impl CompiledNest {
     /// tests and debugging.)
     pub fn vectorized(&self) -> (bool, bool) {
         (self.jam_vec, self.unit_vec)
+    }
+
+    /// Do the (jammed, unit) bodies run as fused tap-sum rows? (For tests
+    /// and debugging.)
+    pub fn fused(&self) -> (bool, bool) {
+        (self.jammed.span > 0, self.unit.as_ref().unwrap_or(&self.jammed).span > 0)
+    }
+
+    /// The tap-sum side table of the jammed (`unit == false`) or unit body.
+    /// (For tests and debugging.)
+    pub fn tap_sums(&self, unit: bool) -> &[TapSum] {
+        let k = if unit { self.unit.as_ref().unwrap_or(&self.jammed) } else { &self.jammed };
+        &k.sums
     }
 
     /// Was this nest compiled in strict mode (a body reads registers it did
@@ -407,14 +449,16 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
             if first >= 0 && (last as u64) < cn.len as u64 {
                 // SAFETY: every flat index this row touches lies in
                 // [first, last] ⊆ [0, len); register and slot indices were
-                // validated at compile time. The chunked executor is only
-                // entered when `vector_safe` proved the op-at-a-time
-                // interleaving unobservable.
+                // validated at compile time. The fused and chunked
+                // executors are only entered when `lane_reach` proved the
+                // op-at-a-time interleaving unobservable.
                 unsafe {
-                    if vec_ok {
+                    if kernel.span > 0 {
+                        run_row_fused(kernel, &arrs, base, count, step)
+                    } else if vec_ok {
                         run_row_vec(&kernel.ops, &arrs, &mut strips, base, count, step)
                     } else {
-                        run_row::<false>(&kernel.ops, &arrs, &mut regs, base, count, step)
+                        run_row::<false>(kernel, &arrs, &mut regs, base, count, step)
                     }
                 }
             } else {
@@ -423,7 +467,7 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
                 // SAFETY: register and slot indices were validated at
                 // compile time; CHECKED = true asserts every memory index
                 // before touching it, so no out-of-bounds access occurs.
-                unsafe { run_row::<true>(&kernel.ops, &arrs, &mut regs, base, count, step) }
+                unsafe { run_row::<true>(kernel, &arrs, &mut regs, base, count, step) }
             }
         };
 
@@ -530,7 +574,7 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
     }
 }
 
-/// Execute `ops` over one row of `count` points, advancing the base index
+/// Execute `kernel` over one row of `count` points, advancing the base index
 /// by `step` per point. With `CHECKED = false`, all indexing is unchecked —
 /// the caller has proven every index in range; with `CHECKED = true`, every
 /// memory access is asserted in range first.
@@ -543,7 +587,7 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
 /// — the obligation the hoisted row proof discharges and BV003 re-derives
 /// by interval analysis.
 unsafe fn run_row<const CHECKED: bool>(
-    ops: &[Op],
+    kernel: &KernelCode,
     arrs: &[(*mut f64, usize)],
     regs: &mut [f64],
     mut base: i64,
@@ -597,7 +641,7 @@ unsafe fn run_row<const CHECKED: bool>(
         }};
     }
     for _ in 0..count {
-        for op in ops {
+        for op in &kernel.ops {
             match *op {
                 Op::Const { dst, v } => w!(dst, v),
                 Op::Load { dst, arr, delta } => w!(dst, ld!(arr, delta)),
@@ -619,9 +663,238 @@ unsafe fn run_row<const CHECKED: bool>(
                 Op::SelStore { arr, delta, c, t, e } => {
                     st!(arr, delta, if r!(c) != 0.0 { r!(t) } else { r!(e) })
                 }
+                // SAFETY: the tap sum's slots are < `arrs.len()` (BV001) and
+                // its deltas lie in the declared envelope the caller's row
+                // proof covers (BV003); under CHECKED every index is
+                // asserted first.
+                Op::TapSum { id } => unsafe {
+                    tap_point::<CHECKED>(&kernel.sums[id as usize], arrs, base)
+                },
             }
         }
         base += step;
+    }
+}
+
+/// One point of a tap sum, in the source chain's exact order: each tap
+/// loaded and weighted in turn, the terms added left to right, the sum
+/// scaled and stored. With `CHECKED`, every index is asserted in range
+/// before it is touched — the interpreter's panic on an out-of-layout
+/// access.
+///
+/// # Safety
+/// Tap and store slots must be `< arrs.len()` (BV001). Without `CHECKED`,
+/// `base + delta` must lie in `[0, len)` for every tap and the store — the
+/// hoisted row proof over the declared envelope (BV003).
+#[inline(always)]
+unsafe fn tap_point<const CHECKED: bool>(ts: &TapSum, arrs: &[(*mut f64, usize)], base: i64) {
+    let at = |arr: Slot, delta: i32| {
+        // SAFETY: slot < `arrs.len()` (BV001).
+        let (ptr, len) = unsafe { *arrs.get_unchecked(arr as usize) };
+        let idx = (base + delta as i64) as usize;
+        if CHECKED {
+            assert!(idx < len, "subgrid access out of bounds: {idx} >= {len}");
+        }
+        // SAFETY: `idx < len` — by the CHECKED assert, or by the caller's
+        // row proof over the declared delta envelope (BV003).
+        unsafe { ptr.add(idx) }
+    };
+    let mut acc = 0.0;
+    for (k, t) in ts.taps.iter().enumerate() {
+        // SAFETY: `at` yields a pointer to an element inside the subgrid.
+        let x = unsafe { *at(t.arr, t.delta) };
+        let x = t.coef.map_or(x, |c| c * x);
+        acc = if k == 0 { x } else { acc + x };
+    }
+    let v = ts.scale.map_or(acc, |c| c * acc);
+    // SAFETY: as for the taps.
+    unsafe { *at(ts.arr, ts.delta) = v };
+}
+
+/// Execute a fused body (every op an [`Op::TapSum`]) over one row: the row
+/// is cut into chunks of up to `kernel.span` points and each tap sum sweeps
+/// the whole chunk before the next one starts. Per point the values are the
+/// scalar executor's; within a chunk no store meets another point's memory
+/// operand (that is what `span` bounds), so the interleaving is
+/// unobservable.
+///
+/// # Safety
+/// Same contract as `run_row::<false>` — every `base + i*step + delta` in
+/// range for `i < count` and every tap and store delta, slots validated —
+/// plus: `kernel.span` is at most the lane reach of the body for `step`
+/// (re-derived by BV004).
+unsafe fn run_row_fused(
+    kernel: &KernelCode,
+    arrs: &[(*mut f64, usize)],
+    mut base: i64,
+    count: i64,
+    step: i64,
+) {
+    let mut left = count;
+    while left > 0 {
+        let n = left.min(kernel.span);
+        for op in &kernel.ops {
+            let Op::TapSum { id } = *op else {
+                unreachable!("fused bodies hold only tap sums (BV004)")
+            };
+            // SAFETY: the chunk's `n` points lie in this row, so the
+            // caller's row proof covers every access.
+            unsafe { tap_lanes(&kernel.sums[id as usize], arrs, base, n as usize, step) };
+        }
+        base += n * step;
+        left -= n;
+    }
+}
+
+/// Run one tap sum over `n` row points from `base`, advancing by `step`.
+/// Each point ends up with exactly what `tap_point` computes for it. Tap
+/// counts 1 (a copy), 4 (Jacobi) and 9 (Problem 9, the 9-point blur) run
+/// through loops monomorphized on the count; any other count accumulates
+/// tap at a time into the stored row. Both vectorize on contiguous rows.
+///
+/// # Safety
+/// Tap and store slots `< arrs.len()` (BV001); `base + i*step + delta` in
+/// range for every `i < n` and every tap and store delta (row proof, BV003);
+/// no tap reads the stored array (BV004).
+unsafe fn tap_lanes(ts: &TapSum, arrs: &[(*mut f64, usize)], base: i64, n: usize, step: i64) {
+    // SAFETY: every arm runs under this function's own contract, and
+    // `tap_lanes_n::<N>` is only entered with exactly `N` taps.
+    unsafe {
+        match ts.taps.len() {
+            1 => tap_lanes_n::<1>(ts, arrs, base, n, step),
+            4 => tap_lanes_n::<4>(ts, arrs, base, n, step),
+            9 => tap_lanes_n::<9>(ts, arrs, base, n, step),
+            _ => tap_lanes_acc(ts, arrs, base, n, step),
+        }
+    }
+}
+
+/// `tap_lanes` for any tap count: one sweep per tap, each adding its term
+/// into the stored row, then one scaling sweep. Every point still sees its
+/// terms added left to right with one rounding each. The partial sums are
+/// unobservable: no tap reads the stored array (BV004), and within the
+/// chunk no store meets another point's memory operand (`span`).
+///
+/// # Safety
+/// See `tap_lanes`.
+unsafe fn tap_lanes_acc(ts: &TapSum, arrs: &[(*mut f64, usize)], base: i64, n: usize, step: i64) {
+    let at = |arr: Slot, delta: i32| {
+        // SAFETY: slot < `arrs.len()` (BV001); `base + delta` is the chunk's
+        // first point, inside the subgrid by the row proof (BV003).
+        unsafe { arrs.get_unchecked(arr as usize).0.add((base + delta as i64) as usize) }
+    };
+    let out = at(ts.arr, ts.delta);
+    // SAFETY: `out` and every tap pointer sit at the chunk's first point,
+    // and the caller's row proof covers every lane `i < n` at `i * step`.
+    unsafe {
+        for (k, t) in ts.taps.iter().enumerate() {
+            let src = at(t.arr, t.delta);
+            match (k == 0, t.coef) {
+                (true, None) => sweep(out, src, n, step, |_, x| x),
+                (true, Some(c)) => sweep(out, src, n, step, |_, x| c * x),
+                (false, None) => sweep(out, src, n, step, |acc, x| acc + x),
+                (false, Some(c)) => sweep(out, src, n, step, |acc, x| acc + c * x),
+            }
+        }
+        if let Some(c) = ts.scale {
+            sweep(out, out, n, step, |_, x| c * x);
+        }
+    }
+}
+
+/// `out[i] = f(out[i], src[i])` for lanes `i < n` at offset `i * step`.
+///
+/// # Safety
+/// Every lane of `out` and `src` lies inside its subgrid.
+#[inline(always)]
+unsafe fn sweep(out: *mut f64, src: *const f64, n: usize, step: i64, f: impl Fn(f64, f64) -> f64) {
+    if step == 1 {
+        for i in 0..n {
+            // SAFETY: lane `i < n` of a contiguous row (caller's contract).
+            unsafe { *out.add(i) = f(*out.add(i), *src.add(i)) };
+        }
+    } else {
+        for i in 0..n as isize {
+            let off = i * step as isize;
+            // SAFETY: lane `i < n` at offset `i * step` (caller's contract).
+            unsafe { *out.offset(off) = f(*out.offset(off), *src.offset(off)) };
+        }
+    }
+}
+
+/// `tap_lanes` for a tap count known at compile time: the tap pointers and
+/// coefficients become fixed-size arrays and the per-point chain a fully
+/// unrolled expression. Unweighted taps of a weighted sum multiply by 1.0,
+/// which is exact.
+///
+/// # Safety
+/// See `tap_lanes`; `ts.taps.len() == N`.
+unsafe fn tap_lanes_n<const N: usize>(
+    ts: &TapSum,
+    arrs: &[(*mut f64, usize)],
+    base: i64,
+    n: usize,
+    step: i64,
+) {
+    let at = |arr: Slot, delta: i32| {
+        // SAFETY: slot < `arrs.len()` (BV001); `base + delta` is the chunk's
+        // first point, inside the subgrid by the row proof (BV003).
+        unsafe { arrs.get_unchecked(arr as usize).0.add((base + delta as i64) as usize) }
+    };
+    let src: [*const f64; N] =
+        std::array::from_fn(|k| at(ts.taps[k].arr, ts.taps[k].delta) as *const f64);
+    let coef: [f64; N] = std::array::from_fn(|k| ts.taps[k].coef.unwrap_or(1.0));
+    let out = at(ts.arr, ts.delta);
+    let weighted = ts.taps.iter().any(|t| t.coef.is_some());
+    // SAFETY: `out` and `src` point at the chunk's first point, and the
+    // caller's row proof covers every lane `i < n` at offset `i * step`.
+    unsafe {
+        match (weighted, ts.scale) {
+            (false, None) => lanes::<N, false, false>(out, &src, &coef, 1.0, n, step),
+            (false, Some(c)) => lanes::<N, false, true>(out, &src, &coef, c, n, step),
+            (true, None) => lanes::<N, true, false>(out, &src, &coef, 1.0, n, step),
+            (true, Some(c)) => lanes::<N, true, true>(out, &src, &coef, c, n, step),
+        }
+    }
+}
+
+/// The monomorphized lane loop: `W` weights every tap, `S` scales the sum.
+///
+/// # Safety
+/// `out` and every `src[k]` point at the chunk's first point; lane `i < n`
+/// at element offset `i * step` stays inside its subgrid (row proof, BV003).
+#[inline(always)]
+unsafe fn lanes<const N: usize, const W: bool, const S: bool>(
+    out: *mut f64,
+    src: &[*const f64; N],
+    coef: &[f64; N],
+    scale: f64,
+    n: usize,
+    step: i64,
+) {
+    let point = |off: isize| {
+        // SAFETY: lane offset inside the row (caller's contract).
+        let x = |k: usize| unsafe { *src[k].offset(off) };
+        let term = |k: usize| if W { coef[k] * x(k) } else { x(k) };
+        // Left to right, one rounding per add: the source chain's order.
+        let sum = (1..N).fold(term(0), |acc, k| acc + term(k));
+        if S {
+            scale * sum
+        } else {
+            sum
+        }
+    };
+    if step == 1 {
+        for i in 0..n as isize {
+            // SAFETY: lane `i < n` of a contiguous row (caller's contract).
+            unsafe { *out.offset(i) = point(i) };
+        }
+    } else {
+        for i in 0..n as isize {
+            let off = i * step as isize;
+            // SAFETY: lane `i < n` at offset `i * step` (caller's contract).
+            unsafe { *out.offset(off) = point(off) };
+        }
     }
 }
 
@@ -629,14 +902,14 @@ unsafe fn run_row<const CHECKED: bool>(
 /// into chunks of up to [`LANES`] points and each op runs across the whole
 /// chunk before the next op dispatches. Per-lane results are bitwise
 /// identical to the scalar executor — each lane performs the same operation
-/// sequence on the same operands — and `vector_safe` proved no lane's store
+/// sequence on the same operands — and `lane_reach` proved no lane's store
 /// aliases another lane's memory op, so the interleaving is unobservable.
 ///
 /// # Safety
 /// Same contract as `run_row::<false>` (every `base + i*step + delta` in
 /// range, register/slot indices compile-time validated), plus: `strips` has
 /// `LANES` lanes per register with preloads broadcast, and the kernel was
-/// admitted by `vector_safe` for this `step` (re-derived independently by
+/// admitted by `lane_reach` for this `step` (re-derived independently by
 /// the bytecode verifier, BV004).
 unsafe fn run_row_vec(
     ops: &[Op],
@@ -845,6 +1118,7 @@ unsafe fn run_chunk(
                     unsafe { *m = if cv[i] != 0.0 { tv[i] } else { ev[i] } };
                 }
             }
+            Op::TapSum { .. } => unreachable!("fused bodies run through run_row_fused"),
         }
     }
 }
@@ -853,14 +1127,161 @@ unsafe fn run_chunk(
 /// buffers — the `miri_` prefix is what CI's Miri pass filters on, backing
 /// the SAFETY comments above with an actual aliasing/UB check of every
 /// raw-pointer path (scalar unchecked, scalar checked, chunked block-move,
-/// chunked strided, predicated store).
+/// chunked strided, predicated store, fused tap-sum rows).
 #[cfg(test)]
 mod unsafe_row_tests {
     use super::*;
+    use crate::bytecode::Tap;
     use hpf_ir::expr::CmpOp;
 
     fn arrs_of(bufs: &mut [Vec<f64>]) -> Vec<(*mut f64, usize)> {
         bufs.iter_mut().map(|b| (b.as_mut_ptr(), b.len())).collect()
+    }
+
+    fn code(ops: &[Op]) -> KernelCode {
+        KernelCode { ops: ops.to_vec(), ..KernelCode::default() }
+    }
+
+    /// A fused body of one tap sum per entry of `sums`, chunked by `span`.
+    fn fused(sums: Vec<TapSum>, span: i64) -> KernelCode {
+        let ops = (0..sums.len() as u16).map(|id| Op::TapSum { id }).collect();
+        KernelCode { ops, sums, span, ..KernelCode::default() }
+    }
+
+    /// Pitch of the 2-D test grids: 6x6 storage, interior 1..=4.
+    const P: i32 = 6;
+
+    /// The Problem-9 star: every neighbor offset of a 3x3 block.
+    fn star9(arr: Slot) -> Vec<Tap> {
+        [0, P, -P, -1, 1, P - 1, P + 1, -P - 1, -P + 1]
+            .into_iter()
+            .map(|delta| Tap { arr, delta, coef: None })
+            .collect()
+    }
+
+    /// The source chain's value at `b`, evaluated the interpreter's way.
+    fn chain(u: &[f64], b: i64, ts: &TapSum) -> f64 {
+        let term = |t: &Tap| {
+            let x = u[(b + t.delta as i64) as usize];
+            t.coef.map_or(x, |c| c * x)
+        };
+        let acc = ts.taps[1..].iter().fold(term(&ts.taps[0]), |acc, t| acc + term(t));
+        ts.scale.map_or(acc, |c| c * acc)
+    }
+
+    fn grid() -> Vec<Vec<f64>> {
+        let n = (P * P) as usize;
+        vec![(0..n).map(|i| ((i * 7) % 13) as f64 * 0.1 + 0.3).collect(), vec![0.0; n]]
+    }
+
+    #[test]
+    fn miri_tap_row_contiguous_whole_row() {
+        // Problem 9's jammed body: two 9-tap sums (rows i and i+1) over a
+        // contiguous 4-point row, once as a whole row and once in chunks of
+        // 3 so the second chunk restarts both sums mid-row.
+        let sums = vec![
+            TapSum { arr: 1, delta: 0, taps: star9(0), scale: None },
+            TapSum {
+                arr: 1,
+                delta: P,
+                taps: star9(0).into_iter().map(|t| Tap { delta: t.delta + P, ..t }).collect(),
+                scale: None,
+            },
+        ];
+        for span in [i64::MAX, 3] {
+            let mut bufs = grid();
+            let k = fused(sums.clone(), span);
+            {
+                let arrs = arrs_of(&mut bufs);
+                // SAFETY: slots < 2; the row's points 7..=10 reach flat
+                // indices 0..=23 (deltas -7..=13) inside the 36-cell grids;
+                // taps read slot 0 and the sums store slot 1 (no aliasing).
+                unsafe { run_row_fused(&k, &arrs, P as i64 + 1, 4, 1) };
+            }
+            for b in P as i64 + 1..P as i64 + 5 {
+                for ts in &sums {
+                    let at = (b + ts.delta as i64) as usize;
+                    assert_eq!(bufs[1][at], chain(&bufs[0], b, ts), "span {span} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn miri_tap_row_strided() {
+        // A column strip (step = pitch), as the overlap engine's thin
+        // boundary boxes run it; same 9-tap sum as the contiguous case.
+        let ts = TapSum { arr: 1, delta: 0, taps: star9(0), scale: None };
+        let mut bufs = grid();
+        let k = fused(vec![ts.clone()], i64::MAX);
+        {
+            let arrs = arrs_of(&mut bufs);
+            // SAFETY: points 7, 13, 19, 25 with deltas -7..=7 touch flat
+            // indices 0..=32 < 36; distinct slots for taps and store.
+            unsafe { run_row_fused(&k, &arrs, P as i64 + 1, 4, P as i64) };
+        }
+        for i in 0..4 {
+            let b = (P + 1 + i * P) as i64;
+            assert_eq!(bufs[1][b as usize], chain(&bufs[0], b, &ts), "point {b}");
+        }
+    }
+
+    #[test]
+    fn miri_tap_row_generic_count() {
+        // Three weighted taps (no specialized loop), including a -0.0
+        // coefficient, unscaled and scaled, on a contiguous row and on a
+        // column strip: the tap-at-a-time accumulation into the stored row
+        // must land on the chain's value bit for bit.
+        let taps = vec![
+            Tap { arr: 0, delta: -1, coef: Some(0.5) },
+            Tap { arr: 0, delta: 0, coef: Some(-0.0) },
+            Tap { arr: 0, delta: 1, coef: None },
+        ];
+        for scale in [None, Some(-0.0), Some(0.75)] {
+            let ts = TapSum { arr: 1, delta: 0, taps: taps.clone(), scale };
+            let k = fused(vec![ts.clone()], i64::MAX);
+            for (base, count, step) in [(1, 20, 1), (P as i64 + 1, 4, P as i64)] {
+                let mut bufs = grid();
+                {
+                    let arrs = arrs_of(&mut bufs);
+                    // SAFETY: the contiguous points 1..=20 and the strided
+                    // points 7, 13, 19, 25 with deltas -1..=1 touch flat
+                    // indices in [0, 26] < 36; taps read slot 0, the sum
+                    // stores slot 1.
+                    unsafe { run_row_fused(&k, &arrs, base, count, step) };
+                }
+                for i in 0..count {
+                    let b = base + i * step;
+                    let want = chain(&bufs[0], b, &ts).to_bits();
+                    assert_eq!(bufs[1][b as usize].to_bits(), want, "{scale:?} at {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn miri_tap_row_scaled_matches_checked_scalar() {
+        // Jacobi's form: four unit taps then one scale, and a weighted
+        // variant; the fused row must equal the checked scalar executor
+        // bit for bit.
+        let star4 =
+            |coef| [P, -P, 1, -1].into_iter().map(|delta| Tap { arr: 0, delta, coef }).collect();
+        for taps in [star4(None), star4(Some(0.3))] {
+            let ts = TapSum { arr: 1, delta: 0, taps, scale: Some(0.25) };
+            let (mut fast, mut slow) = (grid(), grid());
+            let k = fused(vec![ts.clone()], i64::MAX);
+            let mut regs = [0.0f64; 1];
+            {
+                let (fa, sa) = (arrs_of(&mut fast), arrs_of(&mut slow));
+                // SAFETY: points 7..=10 with deltas -6..=6 touch [1, 16] < 36.
+                unsafe { run_row_fused(&k, &fa, P as i64 + 1, 4, 1) };
+                // SAFETY: same row; CHECKED asserts every access.
+                unsafe { run_row::<true>(&k, &sa, &mut regs, P as i64 + 1, 4, 1) };
+            }
+            assert_eq!(fast, slow);
+            let b = P as i64 + 2;
+            assert_eq!(fast[1][b as usize], chain(&fast[0], b, &ts));
+        }
     }
 
     #[test]
@@ -876,9 +1297,9 @@ mod unsafe_row_tests {
             let arrs = arrs_of(&mut bufs);
             // Points 1..=14: every access (delta -1..0) stays in [0, 16).
             // SAFETY: regs/slots < 2; min index 0, max index 14 < 16.
-            unsafe { run_row::<false>(&ops, &arrs, &mut regs, 1, 7, 1) };
+            unsafe { run_row::<false>(&code(&ops), &arrs, &mut regs, 1, 7, 1) };
             // SAFETY: same contract; the checked variant asserts per access.
-            unsafe { run_row::<true>(&ops, &arrs, &mut regs, 8, 7, 1) };
+            unsafe { run_row::<true>(&code(&ops), &arrs, &mut regs, 8, 7, 1) };
         }
         for (i, &v) in bufs[0].iter().enumerate().take(15).skip(1) {
             assert_eq!(v, (i - 1) as f64 + 10.0, "point {i}");
@@ -896,7 +1317,7 @@ mod unsafe_row_tests {
         let arrs = arrs_of(&mut bufs);
         // SAFETY: regs/slots in range; CHECKED = true asserts every index,
         // so the out-of-range fourth point panics instead of writing.
-        unsafe { run_row::<true>(&ops, &arrs, &mut regs, 5, 4, 1) };
+        unsafe { run_row::<true>(&code(&ops), &arrs, &mut regs, 5, 4, 1) };
     }
 
     #[test]

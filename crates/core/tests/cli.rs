@@ -3,15 +3,22 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn hpfsc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hpfsc")).args(args).output().expect("spawn hpfsc")
 }
 
+/// Write a preset's source to a temp file of its own. Tests run on parallel
+/// threads of one process, so the pid alone does not separate them: each
+/// call also takes a fresh sequence number.
 fn write_preset(name: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let out = hpfsc(&["--print-input", name]);
     assert!(out.status.success(), "--print-input {name} failed");
-    let path = std::env::temp_dir().join(format!("hpfsc-cli-{}-{name}.f90", std::process::id()));
+    let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+    let file = format!("hpfsc-cli-{}-{seq}-{name}.f90", std::process::id());
+    let path = std::env::temp_dir().join(file);
     std::fs::write(&path, &out.stdout).unwrap();
     path
 }

@@ -6,11 +6,16 @@
 //! Per-PE operation counters must agree too, since the bytecode VM
 //! bulk-counts the same loads/stores/flops/iters and the overlap engine
 //! computes the same points through the same schedules, merely reordered.
+//! Statements the offset-array pipeline leaves as weighted sums of loads
+//! compile to fused tap-sum ops; those are checked to fire, and checked
+//! bitwise across the superstep depths too.
 
 use hpf_bench::workload::{generate, WorkloadSpec};
-use hpf_stencil::passes::{CompileOptions, Stage};
+use hpf_stencil::codegen::{compile_nest, CompiledNest, Op};
+use hpf_stencil::exec::nest::scalar_values;
+use hpf_stencil::passes::{CompileOptions, NodeItem, Stage};
 use hpf_stencil::runtime::PeStats;
-use hpf_stencil::{presets, Backend, Engine, Kernel, MachineConfig};
+use hpf_stencil::{presets, Backend, Engine, Kernel, Machine, MachineConfig};
 use proptest::prelude::*;
 
 const COMBOS: [(Engine, Backend); 6] = [
@@ -22,6 +27,9 @@ const COMBOS: [(Engine, Backend); 6] = [
     (Engine::ThreadedOverlap, Backend::Bytecode),
 ];
 
+/// Gathered output arrays by name.
+type Outputs = Vec<(String, Vec<f64>)>;
+
 /// Run one (engine, backend) combination; return the gathered outputs (only
 /// those arrays the program actually allocates) and the per-PE counters.
 fn run_combo(
@@ -30,7 +38,7 @@ fn run_combo(
     engine: Engine,
     backend: Backend,
     outputs: &[&str],
-) -> (Vec<(String, Vec<f64>)>, Vec<PeStats>) {
+) -> (Outputs, Vec<PeStats>) {
     let mut runner = kernel
         .runner(MachineConfig::with_grid(grid.to_vec()))
         .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
@@ -132,8 +140,9 @@ fn lint_dirty_kernel_takes_fallback_yet_stays_bitwise_equal() {
 
 /// Run `kernel` as a persistent plan at superstep depth `k` for exactly
 /// `logical_steps` logical steps (depth k fuses `k` of them per machine step
-/// on flat kernels), returning the gathered outputs and the built plan's
-/// supersteps-per-step count (0 = fell back to the classic schedule).
+/// on flat kernels), returning the gathered outputs, the built plan's
+/// supersteps-per-step count (0 = fell back to the classic schedule) and
+/// the per-PE counters.
 #[allow(clippy::too_many_arguments)]
 fn run_superstep(
     kernel: &Kernel,
@@ -144,7 +153,7 @@ fn run_superstep(
     logical_steps: usize,
     input: &str,
     outputs: &[&str],
-) -> (Vec<(String, Vec<f64>)>, u64) {
+) -> (Outputs, u64, Vec<PeStats>) {
     let cfg = hpf_stencil::ExecConfig::new().engine(engine).backend(backend).superstep(k);
     let mut plan = kernel
         .plan(MachineConfig::with_grid(grid.to_vec()))
@@ -159,7 +168,7 @@ fn run_superstep(
     for name in outputs {
         arrays.push((name.to_string(), plan.gather(name).unwrap()));
     }
-    (arrays, plan.supersteps_per_step())
+    (arrays, plan.supersteps_per_step(), plan.stats().per_pe)
 }
 
 #[test]
@@ -170,11 +179,11 @@ fn superstep_depths_bitwise_equal_across_backends() {
     // combination and on uneven grids.
     let kernel = Kernel::compile(&presets::problem9(18), CompileOptions::full()).unwrap();
     for grid in [&[2usize, 2][..], &[3, 2]] {
-        let (oracle, _) =
+        let (oracle, ..) =
             run_superstep(&kernel, grid, Engine::Sequential, Backend::Interp, 1, 4, "U", &["T"]);
         for k in [1usize, 2, 4] {
             for (engine, backend) in COMBOS {
-                let (got, supersteps) =
+                let (got, supersteps, _) =
                     run_superstep(&kernel, grid, engine, backend, k, 4, "U", &["T"]);
                 assert_eq!(oracle, got, "{engine:?}/{backend:?} ss={k} differs on grid {grid:?}");
                 if k > 1 {
@@ -194,11 +203,11 @@ fn superstep_time_loop_tiles_in_place_and_stays_bitwise_equal() {
     // the loop body in place (k iterations per exchange), so one machine
     // step still covers the whole loop and iterate counts stay unchanged.
     let kernel = Kernel::compile(&presets::jacobi(16, 4), CompileOptions::full()).unwrap();
-    let (oracle, _) =
+    let (oracle, ..) =
         run_superstep(&kernel, &[2, 2], Engine::Sequential, Backend::Interp, 1, 2, "U", &["U"]);
     for k in [2usize, 4] {
         for (engine, backend) in COMBOS {
-            let (got, supersteps) =
+            let (got, supersteps, _) =
                 run_superstep(&kernel, &[2, 2], engine, backend, k, 2, "U", &["U"]);
             assert_eq!(oracle, got, "{engine:?}/{backend:?} ss={k} differs on the time loop");
             assert!(supersteps >= 1, "{engine:?}/{backend:?} ss={k} fell back on the time loop");
@@ -218,10 +227,10 @@ fn superstep_ineligible_kernel_falls_back_with_diagnostic() {
         diags.iter().any(|d| d.code == "SS002"),
         "EOSHIFT kernel must be rejected with SS002: {diags:?}"
     );
-    let (oracle, _) =
+    let (oracle, ..) =
         run_superstep(&kernel, &[2, 2], Engine::Sequential, Backend::Interp, 1, 2, "IMG", &["OUT"]);
     for (engine, backend) in COMBOS {
-        let (got, supersteps) =
+        let (got, supersteps, _) =
             run_superstep(&kernel, &[2, 2], engine, backend, 4, 2, "IMG", &["OUT"]);
         assert_eq!(oracle, got, "{engine:?}/{backend:?} fallback differs");
         assert_eq!(supersteps, 0, "{engine:?}/{backend:?} must fall back to classic");
@@ -267,4 +276,128 @@ fn bytecode_plan_compiles_once_and_reuses_across_steps() {
     plan_i.iterate(5);
     assert_eq!(plan.gather("U").unwrap(), plan_i.gather("U").unwrap());
     assert_eq!(plan.stats().per_pe, plan_i.stats().per_pe);
+}
+
+/// Every bytecode kernel the plan builder compiles for `kernel` on `grid`:
+/// one per (nest, PE).
+fn kernels_of(kernel: &Kernel, grid: &[usize]) -> Vec<CompiledNest> {
+    let mut machine = Machine::new(MachineConfig::with_grid(grid.to_vec()));
+    hpf_stencil::exec::allocate(&mut machine, &kernel.compiled.node).unwrap();
+    let scalars = scalar_values(&kernel.compiled.node.symbols);
+    let mut out = Vec::new();
+    kernel.compiled.node.for_each_item(&mut |it| {
+        if let NodeItem::Nest(nest) = it {
+            for pe in &machine.pes {
+                out.push(compile_nest(nest, pe, &scalars).expect("nest compiles"));
+            }
+        }
+    });
+    out
+}
+
+/// Does every kernel run both of its bodies as fused tap-sum rows?
+fn all_fused(kernels: &[CompiledNest]) -> bool {
+    let tap_sums_only = |ops: &[Op]| ops.iter().all(|op| matches!(op, Op::TapSum { .. }));
+    kernels.iter().all(|cn| {
+        let (jammed, unit) = cn.ops();
+        cn.fused() == (true, true) && tap_sums_only(jammed) && unit.is_none_or(tap_sums_only)
+    })
+}
+
+#[test]
+fn problem9_and_jacobi_run_fused_tap_sums_on_every_pe() {
+    // The offset-array pipeline turns every statement of both presets into
+    // a weighted sum of loads (9 unit taps, 4 taps scaled by 0.25, and the
+    // 1-tap `U = T` copy): each must reach the VM as fused tap-sum ops.
+    for src in [presets::problem9(64), presets::jacobi(64, 2)] {
+        let kernel = Kernel::compile(&src, CompileOptions::full()).unwrap();
+        let kernels = kernels_of(&kernel, &[2, 2]);
+        assert!(!kernels.is_empty());
+        assert!(all_fused(&kernels), "a preset nest stopped fusing:\n{src}");
+    }
+}
+
+/// One term of a generated tap sum: `U` read at offset `(di, dj)`, with an
+/// optional coefficient.
+type TapSpec = (i64, i64, Option<f64>);
+
+/// `T = [scale *] (c0*U(i+di,j+dj) + ...)` then `U = T`, every offset read
+/// through (nested) CSHIFTs so the offset-array pass makes it a tap.
+fn tap_sum_source(n: usize, taps: &[TapSpec], scale: Option<f64>) -> String {
+    let term = |&(di, dj, coef): &TapSpec| {
+        let mut u = "U".to_string();
+        if di != 0 {
+            u = format!("CSHIFT({u},{di},1)");
+        }
+        if dj != 0 {
+            u = format!("CSHIFT({u},{dj},2)");
+        }
+        coef.map_or(u.clone(), |c| format!("({c:?})*{u}"))
+    };
+    let sum = taps.iter().map(term).collect::<Vec<_>>().join(" + ");
+    let rhs = scale.map_or(sum.clone(), |c| format!("({c:?})*({sum})"));
+    format!(
+        "PROGRAM taps\nPARAM N = {n}\nREAL U(N,N), T(N,N)\n\
+         !HPF$ DISTRIBUTE U(BLOCK,BLOCK)\n!HPF$ DISTRIBUTE T(BLOCK,BLOCK)\n\
+         T = {rhs}\nU = T\nEND\n"
+    )
+}
+
+/// Coefficients and scales: absent, the identity, negative zero, or a
+/// non-dyadic value that rounds.
+fn constant() -> impl Strategy<Value = Option<f64>> {
+    prop_oneof![
+        3 => Just(None),
+        1 => Just(Some(1.0)),
+        1 => Just(Some(-0.0)),
+        3 => (-20i64..=20).prop_map(|k| Some(k as f64 * 0.1)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Random tap sums — 1 to 12 taps at random in-halo offsets, random
+    /// coefficients and scales — must fuse on every PE and stay bitwise
+    /// equal to the sequential interpreter across every engine × backend
+    /// combination at superstep depths 1, 2 and 4, with per-PE counters
+    /// equal to the interpreter's at the same depth.
+    #[test]
+    fn random_tap_sums_bitwise_equal_across_engines_and_depths(
+        taps in prop::collection::vec((-1i64..=1, -1i64..=1, constant()), 1..=12),
+        scale in constant(),
+        grid in prop_oneof![Just(vec![2usize, 2]), Just(vec![2, 1])],
+    ) {
+        let src = tap_sum_source(16, &taps, scale);
+        let kernel = Kernel::compile(&src, CompileOptions::full())
+            .unwrap_or_else(|e| panic!("compile failed for:\n{src}\n{e}"));
+        prop_assert!(all_fused(&kernels_of(&kernel, &grid)), "not fused:\n{}", src);
+        let (oracle, ..) =
+            run_superstep(&kernel, &grid, Engine::Sequential, Backend::Interp, 1, 4, "U", &["T"]);
+        for k in [1usize, 2, 4] {
+            let (_, _, base_stats) =
+                run_superstep(&kernel, &grid, Engine::Sequential, Backend::Interp, k, 4, "U", &["T"]);
+            for (engine, backend) in COMBOS {
+                let (got, supersteps, stats) =
+                    run_superstep(&kernel, &grid, engine, backend, k, 4, "U", &["T"]);
+                prop_assert_eq!(
+                    &oracle, &got,
+                    "{:?}/{:?} ss={} grid {:?} differs for:\n{}", engine, backend, k, &grid, &src
+                );
+                prop_assert_eq!(
+                    &base_stats, &stats,
+                    "{:?}/{:?} ss={} per-PE counters differ for:\n{}", engine, backend, k, &src
+                );
+                // A lone shifted read stays a full-shift copy, which the
+                // superstep declines with a diagnostic; nothing else may
+                // fall back.
+                let declined = !hpf_stencil::exec::superstep_diags(&kernel.compiled.node, k)
+                    .is_empty();
+                prop_assert!(
+                    k == 1 || supersteps >= 1 || declined,
+                    "ss={} fell back silently for:\n{}", k, &src
+                );
+            }
+        }
+    }
 }

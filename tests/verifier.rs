@@ -9,9 +9,10 @@
 //!    rejects correct output is useless as a build-time gate.
 //!
 //! 2. **Sensitivity** — every deliberate corruption of a compiled kernel
-//!    ([`Fault`] injection: reordered ops, perturbed memory deltas,
-//!    widened loop bounds, shrunk declared envelopes, retargeted
-//!    registers, forced vectorization) and of an execution plan
+//!    ([`Fault`] injection: reordered ops, perturbed memory and tap
+//!    deltas, widened loop bounds, shrunk declared envelopes, retargeted
+//!    registers and tap slots, taps reading the stored array, forced
+//!    vectorization) and of an execution plan
 //!    (cleared drain barriers, widened interior sweeps, duplicated
 //!    buffer posts, widened superstep trapezoids) is rejected with the
 //!    matching `BV*` / `PL*` diagnostic. A verifier that misses the
@@ -127,6 +128,72 @@ fn perturbed_deltas_are_killed() {
         }
     }
     assert!(applied > 0, "corpus must contain memory ops to perturb");
+}
+
+/// Fused tap-sum kernels: every tap delta (and every tap sum's store
+/// delta) pushed outside the declared envelope, in either direction, must
+/// trip BV003 — the hoisted row proof covers the fused op only through
+/// that envelope. Problem 9's jammed body pins the count: two 9-tap sums
+/// expose 2 × (9 + 1) operands.
+#[test]
+fn perturbed_tap_deltas_are_killed() {
+    let mut applied = 0usize;
+    for cn in corpus().iter().filter(|cn| cn.fused() != (false, false)) {
+        for unit in [false, true] {
+            for by in [1_000_000, -1_000_000] {
+                for i in 0usize.. {
+                    let mut m = cn.clone();
+                    if !m.inject(Fault::PerturbDelta { unit, i, by }) {
+                        break;
+                    }
+                    applied += 1;
+                    assert!(
+                        rejected_with(&m, &["BV003"]),
+                        "perturbed tap delta survived verification (operand {i}, unit={unit})"
+                    );
+                }
+            }
+        }
+    }
+    assert!(applied > 0, "corpus must contain fused tap-sum kernels");
+
+    let p9 = kernels_of(&presets::problem9(16), &[2, 2]);
+    let star = p9.iter().find(|cn| cn.fused().0).expect("Problem 9 runs fused rows");
+    let sites = (0usize..)
+        .take_while(|&i| star.clone().inject(Fault::PerturbDelta { unit: false, i, by: 1 }))
+        .count();
+    assert_eq!(sites, 20, "two 9-tap sums and their stores");
+}
+
+/// A tap pointed at the array its own tap sum stores breaks the rule that
+/// makes reloading shared loads sound: BV004 on every tap of every fused
+/// kernel. The corruption is `RetargetReg` at each tap site with the stored
+/// slot as its target.
+#[test]
+fn tap_reading_stored_slot_is_killed() {
+    let mut applied = 0usize;
+    for cn in corpus().iter().filter(|cn| cn.fused() != (false, false)) {
+        for unit in [false, true] {
+            // A fused body holds only tap sums, in side-table order, and
+            // each spans one site per tap followed by one for its store.
+            let mut i = 0;
+            for ts in cn.tap_sums(unit) {
+                for _ in &ts.taps {
+                    let mut m = cn.clone();
+                    if m.inject(Fault::RetargetReg { unit, i, reg: ts.arr }) {
+                        applied += 1;
+                        assert!(
+                            rejected_with(&m, &["BV004"]),
+                            "tap reading the stored array survived verification (site {i}, unit={unit})"
+                        );
+                    }
+                    i += 1;
+                }
+                i += 1;
+            }
+        }
+    }
+    assert!(applied > 0, "corpus must contain fused tap-sum kernels");
 }
 
 /// Widened loop bounds walk rows past the subgrid allocation: BV003 on
